@@ -1,8 +1,13 @@
-"""A generic, table-driven CRC engine.
+"""A generic CRC engine with stdlib C kernels for the common codes.
 
 The engine is parameterised by a :class:`CrcSpec` (width, polynomial,
 initial value, reflection flags, final XOR), the same model used by the
-"Rocksoft" CRC catalogue.  Three standard codes are pre-registered:
+"Rocksoft" CRC catalogue.  :meth:`CRC.compute` runs a stdlib C kernel when
+one computes the spec exactly — ``binascii.crc_hqx`` for the MSB-first
+0x1021 family (CCITT-FALSE, XMODEM, GENIBUS, ...) and ``zlib.crc32`` for
+CRC-32 — and a byte-at-a-time table loop for everything else.  The table
+loop also serves as the test oracle for the C kernels.  Three standard codes
+are pre-registered:
 
 * ``CRC8`` (SMBus: poly 0x07) — the 1-byte code a cheap NoC tile would use;
 * ``CRC16_CCITT`` (poly 0x1021) — the thesis cites shift-register CRCs as the
@@ -17,6 +22,8 @@ a random scramble escapes with probability ~2^-width.
 
 from __future__ import annotations
 
+import binascii
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,6 +101,45 @@ def _build_table(width: int, polynomial: int, reflect_in: bool) -> tuple[int, ..
     return tuple(table)
 
 
+def _table_crc(spec: CrcSpec, data: bytes) -> int:
+    """Checksum of `data` under `spec` by the byte-at-a-time table loop."""
+    width = spec.width
+    mask = (1 << width) - 1
+    table = _build_table(width, spec.polynomial, spec.reflect_in)
+    register = spec.init
+    if spec.reflect_in:
+        register = _reflect(register, width)
+        for byte in data:
+            register = (register >> 8) ^ table[(register ^ byte) & 0xFF]
+    else:
+        shift = width - 8
+        for byte in data:
+            index = ((register >> shift) ^ byte) & 0xFF
+            register = ((register << 8) & mask) ^ table[index]
+    if spec.reflect_out != spec.reflect_in:
+        register = _reflect(register, width)
+    return (register ^ spec.xor_out) & mask
+
+
+def _native_kernel(spec: CrcSpec) -> tuple | None:
+    """Return the stdlib C kernel that computes `spec` exactly, or None.
+
+    The kernel comes as ``(kernel, start, xor)`` with
+    ``kernel(data, start) ^ xor`` the checksum.  ``kernel`` is a builtin
+    function, so the tuple pickles by reference.
+    """
+    if (spec.width, spec.polynomial) == (16, 0x1021):
+        if not spec.reflect_in and not spec.reflect_out:
+            # crc_hqx runs the MSB-first register from `start`, no final XOR.
+            return binascii.crc_hqx, spec.init, spec.xor_out
+    elif (spec.width, spec.polynomial, spec.init, spec.xor_out) == (
+        32, 0x04C11DB7, 0xFFFFFFFF, 0xFFFFFFFF
+    ):
+        if spec.reflect_in and spec.reflect_out:
+            return zlib.crc32, 0, 0
+    return None
+
+
 class CRC:
     """A concrete CRC calculator built from a :class:`CrcSpec`.
 
@@ -103,8 +149,7 @@ class CRC:
 
     def __init__(self, spec: CrcSpec) -> None:
         self.spec = spec
-        self._mask = (1 << spec.width) - 1
-        self._table = _build_table(spec.width, spec.polynomial, spec.reflect_in)
+        self._native = _native_kernel(spec)
         self._verify_check_value()
 
     def _verify_check_value(self) -> None:
@@ -126,22 +171,11 @@ class CRC:
 
     def compute(self, data: bytes) -> int:
         """Return the checksum of `data`."""
-        spec = self.spec
-        width = spec.width
-        register = spec.init
-        if spec.reflect_in:
-            register = _reflect(register, width)
-            for byte in data:
-                index = (register ^ byte) & 0xFF
-                register = (register >> 8) ^ self._table[index]
-        else:
-            shift = width - 8
-            for byte in data:
-                index = ((register >> shift) ^ byte) & 0xFF
-                register = ((register << 8) & self._mask) ^ self._table[index]
-        if spec.reflect_out != spec.reflect_in:
-            register = _reflect(register, width)
-        return (register ^ spec.xor_out) & self._mask
+        native = self._native
+        if native is None:
+            return _table_crc(self.spec, data)
+        kernel, start, xor = native
+        return kernel(data, start) ^ xor
 
     def encode(self, data: bytes) -> bytes:
         """Append the big-endian checksum to `data` (a framed codeword)."""

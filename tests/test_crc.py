@@ -1,12 +1,17 @@
 """Tests for the CRC substrate."""
 
+import binascii
+import pickle
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crc import CRC, CRC8, CRC16_CCITT, CRC32, CrcSpec, crc_for
-from repro.crc.engine import _reflect
+from repro.crc.engine import _native_kernel, _reflect, _table_crc
+from repro.noc.config import describe_crc
 
 
 ALL_CODECS = [CRC8, CRC16_CCITT, CRC32]
@@ -147,3 +152,56 @@ def test_property_any_single_flip_detected(data, bit):
 @settings(max_examples=100, deadline=None)
 def test_property_compute_deterministic(data):
     assert CRC16_CCITT.compute(data) == CRC16_CCITT.compute(data)
+
+
+# -- stdlib C kernels vs the table-loop oracle -------------------------------
+
+XMODEM = CrcSpec("CRC-16/XMODEM", 16, 0x1021, 0x0000, False, False, 0x0000, 0x31C3)
+GENIBUS = CrcSpec("CRC-16/GENIBUS", 16, 0x1021, 0xFFFF, False, False, 0xFFFF, 0xD64E)
+KERMIT = CrcSpec("CRC-16/KERMIT", 16, 0x1021, 0x0000, True, True, 0x0000, 0x2189)
+# CRC-32 without the final XOR: same register as zlib.crc32, other output.
+JAMCRC = CrcSpec(
+    "CRC-32/JAMCRC", 32, 0x04C11DB7, 0xFFFFFFFF, True, True, 0x00000000, 0x340BC6D9
+)
+
+NATIVE_CODECS = [
+    (CRC16_CCITT, binascii.crc_hqx),
+    (CRC(XMODEM), binascii.crc_hqx),
+    (CRC(GENIBUS), binascii.crc_hqx),
+    (CRC32, zlib.crc32),
+]
+TABLE_CODECS = [CRC8, CRC(KERMIT), CRC(JAMCRC)]
+
+
+def _codec_id(value):
+    return value.spec.name if isinstance(value, CRC) else value.__name__
+
+
+@pytest.mark.parametrize("codec, kernel", NATIVE_CODECS, ids=_codec_id)
+def test_native_kernel_selected(codec, kernel):
+    assert _native_kernel(codec.spec)[0] is kernel
+
+
+@pytest.mark.parametrize("codec", TABLE_CODECS, ids=_codec_id)
+def test_other_specs_stay_on_table_loop(codec):
+    assert _native_kernel(codec.spec) is None
+    assert codec.compute(b"123456789") == codec.spec.check
+
+
+@given(data=st.binary(min_size=0, max_size=2048))
+@settings(max_examples=200, deadline=None)
+def test_property_native_matches_table_oracle(data):
+    for codec in [c for c, _ in NATIVE_CODECS] + TABLE_CODECS:
+        assert codec.compute(data) == _table_crc(codec.spec, data), codec.spec.name
+
+
+@pytest.mark.parametrize(
+    "codec", [CRC8, CRC16_CCITT, CRC32, CRC(KERMIT)], ids=_codec_id
+)
+def test_pickle_round_trip_computes_identically(codec):
+    # CRC objects ride inside SimConfig / SimTask to pool workers.
+    clone = pickle.loads(pickle.dumps(codec))
+    assert describe_crc(clone) == describe_crc(codec)
+    for data in (b"", b"123456789", bytes(range(256)) * 3):
+        assert clone.compute(data) == codec.compute(data)
+        assert clone.check(codec.encode(data))

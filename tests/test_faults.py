@@ -125,6 +125,34 @@ class TestErrorModels:
         assert RandomErrorVector().corrupt(b"", rng) == b""
         assert RandomBitError(0.1).corrupt(b"", rng) == b""
 
+    @pytest.mark.parametrize("size", [1, 570])
+    def test_vector_model_stream_matches_array_oracle(self, size):
+        # The byte-comparison corrupt must draw exactly what the original
+        # frombuffer/array_equal implementation drew, so golden traces and
+        # seeded results are unchanged.
+        resamples = 0
+
+        def oracle(payload, rng):
+            nonlocal resamples
+            original = np.frombuffer(payload, dtype=np.uint8)
+            while True:
+                scrambled = rng.integers(0, 256, size=len(payload), dtype=np.uint8)
+                if not np.array_equal(scrambled, original):
+                    return scrambled.tobytes()
+                resamples += 1
+
+        model = RandomErrorVector()
+        rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+        payload = bytes(size)
+        for _ in range(1000):
+            corrupted = model.corrupt(payload, rng)
+            assert corrupted == oracle(payload, oracle_rng)
+            # Feed outputs back so the 1-byte case meets varied payloads.
+            payload = corrupted
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        if size == 1:
+            assert resamples > 0, "resample-on-equal branch never exercised"
+
     def test_factory(self):
         assert make_error_model("vector").name == "vector"
         assert make_error_model("bit", 0.1).name == "bit"
