@@ -11,7 +11,7 @@ should reproduce in shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.apps.base import run_on_noc
 from repro.apps.beamforming import BeamformingApp
@@ -107,13 +107,6 @@ def run_workload(
     )
 
 
-# Local sentinel: the experiments package (where UNSET lives) imports
-# this module back through fig5_3, so the shared sentinel cannot be
-# imported at definition time.  Sentinel-valued kwargs are simply not
-# forwarded, which resolve_options treats identically to its own UNSET.
-_UNSET: Any = object()
-
-
 def compare_architectures(
     architectures: list[Architecture],
     forward_probability: float = 0.5,
@@ -123,9 +116,7 @@ def compare_architectures(
     repetitions: int = 3,
     seed: int = 0,
     max_rounds: int = 2000,
-    n_workers: Any = _UNSET,
-    runner: Any = _UNSET,
-    cache_dir: Any = _UNSET,
+    *,
     options: "ExperimentOptions | None" = None,
 ) -> list[ArchitectureComparison]:
     """Run the same workload across architectures (Fig 5-3).
@@ -138,16 +129,7 @@ def compare_architectures(
 
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    legacy = {
-        name: value
-        for name, value in (
-            ("runner", runner),
-            ("n_workers", n_workers),
-            ("cache_dir", cache_dir),
-        )
-        if value is not _UNSET
-    }
-    opts = resolve_options(options, **legacy)
+    opts = resolve_options(options)
     sweep = opts.make_runner()
     specs = [architecture.build() for architecture in architectures]
     outcomes = iter(

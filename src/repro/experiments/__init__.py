@@ -9,7 +9,8 @@ larger values to approach the thesis' settings.
 Execution convention
 --------------------
 
-Every sweep-running entry point accepts one trailing keyword argument::
+Every sweep-running entry point takes one keyword-only execution
+argument::
 
     run(..., options=ExperimentOptions(n_workers=4, cache_dir="cache"))
 
@@ -19,10 +20,7 @@ bit-identical for any worker count), ``runner`` (a pre-built, shared
 :class:`repro.runners.SweepRunner`), ``cache_dir`` (on-disk result
 memoization), ``db`` (a :class:`repro.service.ResultsDB` write-through
 record), and, on harnesses that support them, ``backend`` and
-``collect_metrics``.  The historical scalar keyword arguments
-(``n_workers=``, ``runner=``, ``cache_dir=``, ``collect_metrics=``,
-``backend=``) still work and mean exactly what they always did, but now
-emit ``DeprecationWarning`` (see ``docs/runners.md``).
+``collect_metrics`` (see ``docs/runners.md``).
 
 Options are pure execution plumbing: they never enter task cache keys,
 and harnesses embed their historical per-repetition seed formulas in the

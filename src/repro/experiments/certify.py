@@ -26,7 +26,6 @@ of ``(seed, grid, claim parameters)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.experiments.chaos import CHAOS_AXES, scenario_for
 from repro.experiments.common import ExperimentOptions, resolve_options
@@ -91,8 +90,8 @@ def certify_chaos_envelope(
     beta: float = 0.05,
     batch_size: int = 8,
     max_replicates: int = 64,
+    *,
     options: ExperimentOptions | None = None,
-    backend: Any = None,
 ) -> CertifiedEnvelope:
     """Certify the dynamic tolerance envelope cell by cell.
 
@@ -117,8 +116,8 @@ def certify_chaos_envelope(
         beta: false-reject bound.
         batch_size: replicates per sweep batch (throughput only).
         max_replicates: per-cell replicate budget.
-        options: execution options (workers, cache, results database).
-        backend: engine backend override (defaults to the options').
+        options: execution options (workers, cache, backend, results
+            database).
 
     Returns:
         The :class:`CertifiedEnvelope`; with a results database attached
@@ -127,7 +126,6 @@ def certify_chaos_envelope(
     for kind in kinds:
         scenario_for(kind, 0.0)  # validate axes before paying for runs
     opts = resolve_options(options, supports=("backend",))
-    engine_backend = opts.backend if backend is None else backend
     sweep = opts.make_runner()
     certifier = CertificationRunner(
         sweep, batch_size=batch_size, max_replicates=max_replicates
@@ -153,7 +151,7 @@ def certify_chaos_envelope(
                 "forward_probability": forward_probability,
                 "side": side,
                 "max_rounds": max_rounds,
-                "backend": engine_backend,
+                "backend": opts.backend,
             },
             label=label,
             base_seed=cell_seed,

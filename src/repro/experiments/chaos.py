@@ -26,13 +26,11 @@ never alias in the cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
     backend_params,
     metrics_params,
@@ -212,11 +210,7 @@ def run(
     seed: int = 0,
     max_rounds: int = 96,
     coverage_target: float = 0.99,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
-    collect_metrics: Any = UNSET,
-    backend: Any = UNSET,
+    *,
     options: ExperimentOptions | None = None,
 ) -> ChaosReport:
     """Sweep the scenario grid and derive dynamic tolerance thresholds.
@@ -230,15 +224,7 @@ def run(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     for kind in kinds:
         scenario_for(kind, 0.0)  # validate axes before paying for the sweep
-    opts = resolve_options(
-        options,
-        supports=("collect_metrics", "backend"),
-        runner=runner,
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        collect_metrics=collect_metrics,
-        backend=backend,
-    )
+    opts = resolve_options(options, supports=("collect_metrics", "backend"))
     collect_metrics = opts.collect_metrics
     backend = opts.backend
     sweep = opts.make_runner()

@@ -8,11 +8,9 @@ Every ``experiments.*.run(...)`` accepts one execution keyword::
 — how to run (``runner``/``n_workers``/``cache_dir``), which engine
 (``backend``), whether to instrument (``collect_metrics``), and where to
 record provenance (``db``, a :class:`repro.service.ResultsDB` or a path
-to one).  It replaces the scalar kwargs that had accreted across the
-12+ harnesses; those scalars still work through a shim that emits
-``DeprecationWarning`` (see :func:`resolve_options`), and the cache keys
-of the submitted tasks are unchanged either way — the options object is
-pure execution plumbing, never hashed into a task.
+to one).  It is the only execution argument a harness takes, and it is
+pure execution plumbing: never hashed into a task, so it never changes
+the cache keys of the submitted tasks.
 
 Instrumented sweeps (``collect_metrics=True``, see
 ``docs/observability.md``): task functions grow an optional
@@ -26,7 +24,6 @@ plumbing for unpacking and reducing those results.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -35,20 +32,6 @@ from repro.runners import SweepRunner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.db import ResultsDB
-
-
-class _Unset:
-    """Sentinel distinguishing 'kwarg not passed' from any real value."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<unset>"
-
-
-#: Default of every deprecated scalar execution kwarg: passing anything
-#: else routes through the :func:`resolve_options` shim (and warns).
-UNSET: Any = _Unset()
 
 
 @dataclass(frozen=True)
@@ -67,7 +50,7 @@ class ExperimentOptions:
             bit-identical, only wall-clock changes).
         collect_metrics: record per-round :class:`repro.metrics`
             time series on harnesses that support it.  Participates in
-            task cache keys exactly as the old scalar kwarg did.
+            task cache keys (see :func:`metrics_params`).
         db: write-through results/provenance store — a
             :class:`repro.service.ResultsDB` or a path to one.  Every
             completed task is recorded there while the pickle cache
@@ -162,73 +145,25 @@ class ExperimentOptions:
         return replace(self, runner=runner)
 
 
-#: The knobs every harness honors; ``backend``/``collect_metrics`` are
-#: opt-in per harness via ``resolve_options(..., supports=...)``.
-_UNIVERSAL_KNOBS = ("runner", "n_workers", "cache_dir", "db")
-
-
 def resolve_options(
     options: ExperimentOptions | None = None,
     *,
     supports: tuple[str, ...] = (),
-    runner: Any = UNSET,
-    n_workers: Any = UNSET,
-    cache_dir: Any = UNSET,
-    collect_metrics: Any = UNSET,
-    backend: Any = UNSET,
 ) -> ExperimentOptions:
-    """Merge a harness's execution arguments into one `ExperimentOptions`.
-
-    The deprecation shim of the options API: harnesses forward their
-    legacy scalar kwargs (defaulting to :data:`UNSET`) plus the new
-    ``options=`` object.  Passing any scalar emits a
-    ``DeprecationWarning`` and builds the equivalent options object —
-    same semantics, same cache keys; mixing scalars with ``options=`` is
-    a ``TypeError`` (ambiguous precedence).
+    """Default a harness's ``options=`` and check it suits the harness.
 
     Args:
-        options: the new-style options object, or None.
+        options: the harness's options object, or None for defaults.
         supports: which of the result-affecting knobs
             (``"collect_metrics"``, ``"backend"``) this harness honors;
             a non-default value for an unsupported knob raises
             ``ValueError`` instead of being silently ignored.
-        runner / n_workers / cache_dir / collect_metrics / backend: the
-            harness's legacy scalar kwargs, verbatim.
     """
-    legacy = {
-        name: value
-        for name, value in (
-            ("runner", runner),
-            ("n_workers", n_workers),
-            ("cache_dir", cache_dir),
-            ("collect_metrics", collect_metrics),
-            ("backend", backend),
-        )
-        if value is not UNSET
-    }
-    if legacy:
-        if options is not None:
-            raise TypeError(
-                "pass execution settings either as "
-                "options=ExperimentOptions(...) or as the deprecated "
-                f"scalar kwargs, not both (got options= and "
-                f"{sorted(legacy)})"
-            )
-        warnings.warn(
-            f"the scalar execution kwargs ({', '.join(sorted(legacy))}) "
-            "are deprecated; pass "
-            "options=ExperimentOptions(...) instead (repro.experiments."
-            "common.ExperimentOptions) — semantics and cache keys are "
-            "unchanged",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        options = ExperimentOptions(**legacy)
-    elif options is None:
-        options = ExperimentOptions()
+    if options is None:
+        return ExperimentOptions()
     defaults = ExperimentOptions()
     for knob in ("collect_metrics", "backend"):
-        if knob in supports or knob in _UNIVERSAL_KNOBS:
+        if knob in supports:
             continue
         if getattr(options, knob) != getattr(defaults, knob):
             raise ValueError(
@@ -236,21 +171,6 @@ def resolve_options(
                 f"instrumented/vectorised path); leave it at its default"
             )
     return options
-
-
-def resolve_runner(
-    runner: SweepRunner | None = None,
-    n_workers: int = 1,
-    cache_dir: str | None = None,
-) -> SweepRunner:
-    """Return `runner` if given, else build one from the scalar knobs.
-
-    The pre-options helper, kept for compatibility; new code should go
-    through :func:`resolve_options` / :meth:`ExperimentOptions.make_runner`.
-    """
-    if runner is not None:
-        return runner
-    return SweepRunner(n_workers=n_workers, cache_dir=cache_dir)
 
 
 def backend_params(backend: str) -> dict[str, str]:

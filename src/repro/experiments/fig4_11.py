@@ -10,17 +10,12 @@ version also reports reconstruction SNR via the decoder, quantifying the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.apps.base import run_on_noc
 from repro.core.protocol import StochasticProtocol
-from repro.experiments.common import (
-    UNSET,
-    ExperimentOptions,
-    resolve_options,
-)
+from repro.experiments.common import ExperimentOptions, resolve_options
 from repro.faults import FaultConfig
 from repro.mp3.decoder import Mp3Decoder, reconstruction_snr_db
 from repro.mp3.parallel import ParallelMp3App
@@ -125,15 +120,11 @@ def run_overflow(
     repetitions: int = 3,
     seed: int = 0,
     max_rounds: int = 1500,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
+    *,
     options: ExperimentOptions | None = None,
 ) -> list[BitratePoint]:
     """Bit-rate vs overflow drop probability (left panel)."""
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
+    opts = resolve_options(options)
     return _sweep_axis(
         "overflow",
         [(level, FaultConfig(p_overflow=level)) for level in levels],
@@ -153,15 +144,11 @@ def run_synchronization(
     repetitions: int = 3,
     seed: int = 0,
     max_rounds: int = 1500,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
+    *,
     options: ExperimentOptions | None = None,
 ) -> list[BitratePoint]:
     """Bit-rate vs sigma_synchr (right panel)."""
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
+    opts = resolve_options(options)
     return _sweep_axis(
         "synchronization",
         [(level, FaultConfig(sigma_synchr=level)) for level in levels],

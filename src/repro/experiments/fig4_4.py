@@ -11,7 +11,6 @@ optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from repro.apps.fft2d import Fft2dApp
 from repro.apps.master_slave import MasterSlavePiApp
 from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
     metrics_params,
     resolve_options,
@@ -137,10 +135,7 @@ def run(
     repetitions: int = 5,
     seed: int = 0,
     max_rounds: int = 400,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
-    collect_metrics: Any = UNSET,
+    *,
     options: ExperimentOptions | None = None,
 ) -> list[CrashSweepPoint]:
     """Sweep (p x crash count) for one application.
@@ -156,14 +151,7 @@ def run(
             f"{sorted(_RUNNERS)}"
         )
     run_one = _RUNNERS[application]
-    opts = resolve_options(
-        options,
-        supports=("collect_metrics",),
-        runner=runner,
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        collect_metrics=collect_metrics,
-    )
+    opts = resolve_options(options, supports=("collect_metrics",))
     collect_metrics = opts.collect_metrics
     sweep = opts.make_runner()
     cells = [

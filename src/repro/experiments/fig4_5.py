@@ -9,17 +9,12 @@ taking many more rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.apps.master_slave import MasterSlavePiApp
 from repro.core.protocol import StochasticProtocol
-from repro.experiments.common import (
-    UNSET,
-    ExperimentOptions,
-    resolve_options,
-)
+from repro.experiments.common import ExperimentOptions, resolve_options
 from repro.faults import FaultConfig, FaultInjector
 from repro.noc.engine import NocSimulator
 from repro.noc.topology import Mesh2D
@@ -79,15 +74,11 @@ def run(
     repetitions: int = 3,
     seed: int = 0,
     max_rounds: int = 2500,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
+    *,
     options: ExperimentOptions | None = None,
 ) -> list[SurfacePoint]:
     """Sweep the two failure axes on the Master-Slave study."""
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
+    opts = resolve_options(options)
     sweep = opts.make_runner()
     cells = [
         (n_dead, p_upset)

@@ -10,15 +10,10 @@ p_upset ~ 0.7 — is the reproduction target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.apps.base import run_on_noc
 from repro.core.protocol import StochasticProtocol
-from repro.experiments.common import (
-    UNSET,
-    ExperimentOptions,
-    resolve_options,
-)
+from repro.experiments.common import ExperimentOptions, resolve_options
 from repro.faults import FaultConfig
 from repro.mp3.parallel import ParallelMp3App
 from repro.noc.engine import NocSimulator
@@ -107,15 +102,11 @@ def run_cell(
     repetitions: int = 2,
     seed: int = 0,
     max_rounds: int = 1200,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
+    *,
     options: ExperimentOptions | None = None,
 ) -> LatencyCell:
     """Measure one cell of the latency surface."""
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
+    opts = resolve_options(options)
     sweep = opts.make_runner()
     outcomes = sweep.run(
         _cell_tasks(
@@ -139,9 +130,7 @@ def run(
     repetitions: int = 2,
     seed: int = 0,
     max_rounds: int = 1200,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
+    *,
     options: ExperimentOptions | None = None,
 ) -> list[LatencyCell]:
     """Sweep the (p x p_upset) grid.
@@ -149,9 +138,7 @@ def run(
     The whole grid — every cell's repetitions — is submitted as one task
     batch, so parallel workers stay busy across cell boundaries.
     """
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
+    opts = resolve_options(options)
     sweep = opts.make_runner()
     cells = [(p, p_upset) for p in probabilities for p_upset in upset_levels]
     tasks = [

@@ -9,16 +9,11 @@ trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.core.protocol import StochasticProtocol
-from repro.experiments.common import (
-    UNSET,
-    ExperimentOptions,
-    resolve_options,
-)
+from repro.experiments.common import ExperimentOptions, resolve_options
 from repro.mp3.parallel import ParallelMp3App
 from repro.noc.engine import NocSimulator
 from repro.noc.topology import Mesh2D
@@ -72,15 +67,11 @@ def run(
     repetitions: int = 2,
     seed: int = 0,
     max_rounds: int = 2500,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
+    *,
     options: ExperimentOptions | None = None,
 ) -> list[EnergyPoint]:
     """Measure energy (and latency) across p, fault-free."""
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
+    opts = resolve_options(options)
     sweep = opts.make_runner()
     outcomes = iter(
         sweep.run(

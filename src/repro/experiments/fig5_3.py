@@ -10,7 +10,6 @@ least efficient.
 
 from __future__ import annotations
 
-from typing import Any
 
 from repro.diversity.architectures import (
     BusConnectedNocs,
@@ -19,11 +18,7 @@ from repro.diversity.architectures import (
     HierarchicalNoc,
 )
 from repro.diversity.compare import ArchitectureComparison, compare_architectures
-from repro.experiments.common import (
-    UNSET,
-    ExperimentOptions,
-    resolve_options,
-)
+from repro.experiments.common import ExperimentOptions, resolve_options
 
 
 def run(
@@ -35,9 +30,7 @@ def run(
     include_central_router: bool = False,
     seed: int = 0,
     max_rounds: int = 4000,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
+    *,
     options: ExperimentOptions | None = None,
 ) -> list[ArchitectureComparison]:
     """Run the Fig 5-3 comparison.
@@ -45,9 +38,7 @@ def run(
     The flat mesh is sized to match the clustered architectures' tile
     count (2 x cluster_side per side = 4 clusters' worth of tiles).
     """
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
+    opts = resolve_options(options)
     architectures = [
         FlatNoc(2 * cluster_side),
         HierarchicalNoc(cluster_side),

@@ -11,14 +11,12 @@ how much the grid's constrained connectivity costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.core.packet import BROADCAST
 from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
     backend_params,
     metrics_params,
@@ -125,11 +123,7 @@ def measure_spread(
     seed: int = 0,
     max_rounds: int = 200,
     name: str | None = None,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
-    collect_metrics: Any = UNSET,
-    backend: Any = UNSET,
+    *,
     options: ExperimentOptions | None = None,
 ) -> SpreadMeasurement:
     """Broadcast from `origin` and measure rounds to full saturation.
@@ -143,15 +137,7 @@ def measure_spread(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    opts = resolve_options(
-        options,
-        supports=("collect_metrics", "backend"),
-        runner=runner,
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        collect_metrics=collect_metrics,
-        backend=backend,
-    )
+    opts = resolve_options(options, supports=("collect_metrics", "backend"))
     collect_metrics = opts.collect_metrics
     backend = opts.backend
     sweep = opts.make_runner()
@@ -205,24 +191,12 @@ def run(
     forward_probability: float = 0.5,
     repetitions: int = 5,
     seed: int = 0,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
-    collect_metrics: Any = UNSET,
-    backend: Any = UNSET,
+    *,
     options: ExperimentOptions | None = None,
 ) -> list[SpreadMeasurement]:
     """Compare mesh / torus / complete-graph saturation at n = side^2."""
     n = side * side
-    opts = resolve_options(
-        options,
-        supports=("collect_metrics", "backend"),
-        runner=runner,
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        collect_metrics=collect_metrics,
-        backend=backend,
-    )
+    opts = resolve_options(options, supports=("collect_metrics", "backend"))
     shared = opts.with_runner(opts.make_runner())
     return [
         measure_spread(

@@ -12,17 +12,12 @@ slowly per failed element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.apps.master_slave import MasterSlavePiApp
 from repro.core.protocol import StochasticProtocol
-from repro.experiments.common import (
-    UNSET,
-    ExperimentOptions,
-    resolve_options,
-)
+from repro.experiments.common import ExperimentOptions, resolve_options
 from repro.faults import FaultConfig, FaultInjector
 from repro.noc.engine import NocSimulator
 from repro.noc.topology import Mesh2D
@@ -74,17 +69,13 @@ def run(
     n_terms: int = 300,
     seed: int = 0,
     max_rounds: int = 400,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
+    *,
     options: ExperimentOptions | None = None,
 ) -> list[LinkCrashPoint]:
     """Sweep dead directed links on the 5x5 Master-Slave study."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
+    opts = resolve_options(options)
     sweep = opts.make_runner()
     results = iter(
         sweep.run(

@@ -19,12 +19,10 @@ the comparison is paired, not just averaged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
     backend_params,
     resolve_options,
@@ -154,10 +152,7 @@ def run(
     repetitions: int = 5,
     seed: int = 0,
     max_rounds: int = 48,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
-    backend: Any = UNSET,
+    *,
     options: ExperimentOptions | None = None,
 ) -> list[PolicyPoint]:
     """Sweep every policy against every fault axis (one flat task batch).
@@ -170,14 +165,7 @@ def run(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    opts = resolve_options(
-        options,
-        supports=("backend",),
-        runner=runner,
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        backend=backend,
-    )
+    opts = resolve_options(options, supports=("backend",))
     backend = opts.backend
     sweep = opts.make_runner()
 

@@ -380,8 +380,8 @@ class SweepRunner:
                 sweep.
             run_id: record into this existing campaign row instead of
                 opening (and closing) one — for callers like
-                :class:`repro.service.JobQueue` that execute one logical
-                campaign as several ``run()`` calls.  The caller owns
+                :meth:`repro.stats.CertificationRunner.certify` that
+                execute one logical campaign as several ``run()`` calls.  The caller owns
                 the row's lifecycle (``begin_run``/``finish_run``).
             index_base: offset added to the recorded ``task_index`` of
                 every task when appending into an existing `run_id`.
@@ -496,17 +496,6 @@ class SweepRunner:
             SimTask.call(fn, seed=seed, **params)
             for params, seed in zip(sets, seed_list)
         )
-
-    def assign_seeds(self, tasks: Iterable[SimTask]) -> list[SimTask]:
-        """Fill in missing task seeds from ``base_seed``, by batch index.
-
-        Public for callers that split a campaign into several
-        :meth:`run` calls (the job queue executes cancellable chunks):
-        seeding the *whole* batch up front keeps every task's seed a
-        function of its position in the full campaign, so chunked and
-        single-call execution stay bit-identical.
-        """
-        return self._assign_seeds(list(tasks))
 
     # ------------------------------------------------------------- internals
 

@@ -1,4 +1,4 @@
-"""Simulation-as-a-service: async job submission + durable results DB.
+"""Simulation-as-a-service: durable results DB and chaos certification.
 
 This package is the service layer in front of the sweep machinery
 (:mod:`repro.runners`):
@@ -8,17 +8,13 @@ This package is the service layer in front of the sweep machinery
   per-round metrics, written through by :class:`SweepRunner` while the
   content-hashed pickle cache stays the hot read path.  Query it with
   SQL via :meth:`ResultsDB.query` or ``repro db query``.
-* :class:`JobQueue` (``repro.service.jobs``) — an asyncio front-end
-  over one shared runner: ``submit``/``status``/``cancel``/``stream``
-  with priorities, per-task completion streaming and checkpoint-backed
-  resume.
 * the chaos harness (``repro.service.chaos``) — deterministic fault
   injectors (worker kills, task hangs, corrupted payloads) that attack
   the supervised worker fleet, plus :func:`certify_service_envelope`,
   which certifies the service's own tolerance envelope through the
   sequential statistics layer (``repro chaos-service``).
 
-See ``docs/service.md`` for the schema, job lifecycle and SQL cookbook,
+See ``docs/service.md`` for the schema and SQL cookbook,
 and ``docs/operations.md`` for the failure-mode runbook.
 """
 
@@ -32,7 +28,6 @@ from repro.service.chaos import (
     run_campaign,
 )
 from repro.service.db import ResultsDB, as_results_db
-from repro.service.jobs import JobQueue, JobState, JobStatus
 from repro.service.schema import SCHEMA_VERSION
 
 __all__ = [
@@ -40,9 +35,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "CampaignOutcome",
     "ChaosSpec",
-    "JobQueue",
-    "JobState",
-    "JobStatus",
     "ResultsDB",
     "ServiceEnvelope",
     "as_results_db",

@@ -402,8 +402,8 @@ class ResultsDB:
         deterministic JSON next to the queryable verdict columns, so
         ``repro db query`` can filter certificates without unpickling
         anything.  `run_id` ties the certificate to the campaign row
-        whose task rows fed the decision (nullable: async certifications
-        span several job-queue campaign rows).
+        whose task rows fed the decision (nullable: a certificate may be
+        recorded without a campaign row).
         """
         claim = certificate.claim
         payload = certificate.to_json_dict()

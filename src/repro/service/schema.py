@@ -10,9 +10,10 @@ older release upgrades by replaying the tail of the list.
 
 Tables (see ``docs/service.md`` for the SQL cookbook):
 
-* ``runs`` — one row per :meth:`SweepRunner.run` batch or
-  :class:`~repro.service.jobs.JobQueue` job: label, status, task count,
-  wall-clock bounds.
+* ``runs`` — one row per campaign: a :meth:`SweepRunner.run` batch, or
+  several chunked ``run(run_id=...)`` calls sharing one row (as
+  :class:`~repro.stats.CertificationRunner` does): label, status, task
+  count, wall-clock bounds.
 * ``tasks`` — one row per completed :class:`~repro.runners.SimTask`:
   the content-hash ``cache_key`` (the pickle cache's file stem, so the
   two stores cross-reference), function, params, seed, whether the

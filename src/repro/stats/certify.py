@@ -41,7 +41,6 @@ from repro.stats.claims import Claim, TrajectoryPoint, Verdict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.service.db import ResultsDB
-    from repro.service.jobs import JobQueue
 
 __all__ = ["Certificate", "CertificationRunner"]
 
@@ -290,54 +289,6 @@ class CertificationRunner:
         if db is not None:
             db.record_certificate(certificate, run_id=run_id)
             db.finish_run(run_id, status="completed", n_tasks=executed)
-        return certificate
-
-    async def certify_async(
-        self,
-        queue: "JobQueue",
-        claim: Claim,
-        fn: Callable[..., Any] | str,
-        params: Mapping[str, Any] | None = None,
-        *,
-        label: str = "",
-        base_seed: int | None = None,
-        priority: int = 0,
-    ) -> Certificate:
-        """Certify `claim` with batches submitted as `queue` jobs.
-
-        The service-layer face of :meth:`certify`: each replicate batch
-        is one :meth:`repro.service.JobQueue.submit` job (priority
-        applied, streaming/cancellation available to other clients), and
-        the certificate is identical to the blocking path for the same
-        ``base_seed`` — seeds are explicit on every task, and the
-        decision stream consumes job results in replicate order.
-
-        Certificates are recorded into the *queue runner's* database
-        when it has one; each batch keeps the job queue's own one-row-
-        per-job campaign accounting.
-        """
-        params = dict(params or {})
-        seed_root = self.base_seed if base_seed is None else base_seed
-        seeds = self._seeds(seed_root)
-        decision = _Decision(claim)
-
-        for start in range(0, self.max_replicates, self.batch_size):
-            if decision.decided:
-                break
-            stop = min(start + self.batch_size, self.max_replicates)
-            batch = self._tasks(fn, params, seeds, start, stop, label)
-            job_id = await queue.submit(
-                batch,
-                priority=priority,
-                label=f"{label or 'certify'} batch {start}-{stop - 1}",
-            )
-            decision.consume(await queue.result(job_id))
-        certificate = decision.certificate(
-            budget=self.max_replicates, base_seed=seed_root, label=label
-        )
-        db = queue.runner.db if queue.runner.db is not None else self.db
-        if db is not None:
-            db.record_certificate(certificate)
         return certificate
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

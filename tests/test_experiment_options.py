@@ -2,20 +2,79 @@
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import pytest
 
-from repro.experiments import fig3_1, grid_spread, link_crashes
-from repro.experiments.common import (
-    UNSET,
-    ExperimentOptions,
-    resolve_options,
+from repro.diversity import compare
+from repro.experiments import (
+    certify,
+    chaos,
+    fig3_1,
+    fig4_4,
+    fig4_5,
+    fig4_6,
+    fig4_8,
+    fig4_9,
+    fig4_10,
+    fig4_11,
+    fig5_3,
+    grid_spread,
+    islands,
+    link_crashes,
+    policy_compare,
+    protocol_frontier,
 )
+from repro.experiments.common import ExperimentOptions, resolve_options
 from repro.runners import SweepRunner
 from repro.service import ResultsDB
 
-DEPRECATION_MATCH = r"scalar execution kwargs .* are deprecated"
+#: Every harness entry point that executes a sweep.
+HARNESS_ENTRY_POINTS = (
+    certify.certify_chaos_envelope,
+    chaos.run,
+    compare.compare_architectures,
+    fig3_1.run,
+    fig3_1.run_scaling,
+    fig4_4.run,
+    fig4_5.run,
+    fig4_6.run,
+    fig4_8.run,
+    fig4_8.run_cell,
+    fig4_9.run,
+    fig4_10.run_overflow,
+    fig4_10.run_synchronization,
+    fig4_11.run_overflow,
+    fig4_11.run_synchronization,
+    fig5_3.run,
+    grid_spread.measure_spread,
+    grid_spread.run,
+    islands.run,
+    islands.run_voltage_sweep,
+    link_crashes.run,
+    policy_compare.run,
+    protocol_frontier.certify_frontier,
+    protocol_frontier.run,
+)
+
+#: The scalar execution kwargs ``options=`` replaced.
+SCALAR_EXECUTION_PARAMS = (
+    "n_workers",
+    "runner",
+    "cache_dir",
+    "collect_metrics",
+    "backend",
+)
+
+#: ``SimTask.cache_key()`` digests of ``fig3_1.run(n=64, repetitions=3,
+#: seed=3)``, in submission order.  Pinned from the release that still
+#: accepted the scalar kwargs, so removing them provably kept every key.
+FIG3_1_CACHE_KEYS = [
+    "516d00cd9256ac26505f4b88585c3fecd95b6efe95d57ec6e1cb2d4b6127407f",
+    "0a5dc43ff2f23c0b2aae2335f37f6cfd27c011da1ab795897924db229cdab58b",
+    "034cb3e5d5dd6a891c725189b0b107fb77ab8814cb6a589774f70b172a6a3837",
+]
 
 
 class TestExperimentOptions:
@@ -74,15 +133,6 @@ class TestResolveOptions:
             warnings.simplefilter("error")
             assert resolve_options(opts) is opts
 
-    def test_legacy_scalars_warn_and_translate(self, cache_dir):
-        with pytest.warns(DeprecationWarning, match=DEPRECATION_MATCH):
-            opts = resolve_options(None, n_workers=2, cache_dir=cache_dir)
-        assert opts == ExperimentOptions(n_workers=2, cache_dir=cache_dir)
-
-    def test_mixing_options_and_scalars_is_a_type_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_options(ExperimentOptions(), n_workers=2)
-
     def test_unsupported_knob_is_a_value_error(self):
         with pytest.raises(ValueError, match="does not support"):
             resolve_options(
@@ -99,36 +149,37 @@ class TestResolveOptions:
             is opts
         )
 
-    def test_unset_sentinel_reprs_cleanly(self):
-        assert repr(UNSET) == "<unset>"
-
-
 class TestHarnessBehavior:
-    def test_options_and_legacy_results_are_identical(self):
-        with pytest.warns(DeprecationWarning, match=DEPRECATION_MATCH):
-            legacy = fig3_1.run(n=64, repetitions=2, seed=3, n_workers=1)
-        new = fig3_1.run(
-            n=64, repetitions=2, seed=3, options=ExperimentOptions()
-        )
-        assert new == legacy
+    def test_cache_keys_match_the_pinned_literals(self):
+        keys = []
 
-    def test_cache_keys_are_unchanged_across_the_apis(self, cache_dir):
-        # Warm the cache through the legacy kwargs...
-        with pytest.warns(DeprecationWarning, match=DEPRECATION_MATCH):
-            legacy = fig3_1.run(
-                n=64, repetitions=3, seed=3, cache_dir=cache_dir
-            )
-        # ...then rerun via options=: every task must hit that cache.
-        runner = SweepRunner(cache_dir=cache_dir)
-        new = fig3_1.run(
+        class RecordingRunner(SweepRunner):
+            def run(self, tasks, **kwargs):
+                tasks = list(tasks)
+                keys.extend(task.cache_key() for task in tasks)
+                return super().run(tasks, **kwargs)
+
+        fig3_1.run(
             n=64,
             repetitions=3,
             seed=3,
-            options=ExperimentOptions(runner=runner),
+            options=ExperimentOptions(runner=RecordingRunner()),
         )
-        assert runner.tasks_executed == 0
-        assert runner.cache_hits == 3
-        assert new == legacy
+        assert keys == FIG3_1_CACHE_KEYS
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        HARNESS_ENTRY_POINTS,
+        ids=lambda fn: f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}",
+    )
+    def test_options_is_the_only_execution_argument(self, entry_point):
+        params = inspect.signature(entry_point).parameters
+        assert not set(SCALAR_EXECUTION_PARAMS) & set(params)
+        assert params["options"].kind is inspect.Parameter.KEYWORD_ONLY
+
+    def test_scalar_kwargs_are_a_type_error(self):
+        with pytest.raises(TypeError, match="n_workers"):
+            fig3_1.run(n=64, n_workers=2)
 
     def test_options_api_emits_no_warnings(self):
         with warnings.catch_warnings():
@@ -155,10 +206,6 @@ class TestHarnessBehavior:
                 n_terms=40,
                 options=ExperimentOptions(backend="fast"),
             )
-
-    def test_harness_rejects_mixed_apis(self):
-        with pytest.raises(TypeError, match="not both"):
-            fig3_1.run(n=64, n_workers=2, options=ExperimentOptions())
 
     def test_shared_runner_spans_subharness_calls(self, cache_dir):
         runner = SweepRunner(cache_dir=cache_dir)

@@ -294,6 +294,40 @@ class TestRunnerWriteThrough:
         )
         assert agg["rounds"] == sum(len(curve) - 1 for curve in results)
 
+    def test_chunked_campaign_matches_one_blocking_run(self, db):
+        # A 3x3 (population x seed) campaign executed as three chunked
+        # run() calls appending into one caller-owned campaign row.
+        cells = [
+            SimTask.call(simulate_rumor_spread, n=n, rounds=4, seed=seed)
+            for n in (8, 16, 32)
+            for seed in (1, 2, 3)
+        ]
+        blocking = SweepRunner().run(cells)
+
+        runner = SweepRunner(db=db)
+        run_id = db.begin_run(label="nine-cell", n_tasks=len(cells))
+        chunked = []
+        for start in range(0, len(cells), 3):
+            chunked += runner.run(
+                cells[start:start + 3], run_id=run_id, index_base=start
+            )
+        db.finish_run(run_id, status="completed", n_tasks=len(cells))
+
+        assert pickle.dumps(chunked) == pickle.dumps(blocking)
+        (run,) = db.runs()
+        assert run["run_id"] == run_id
+        assert run["status"] == "completed"
+        assert pickle.dumps(db.results_for_run(run_id)) == pickle.dumps(
+            blocking
+        )
+        rows = db.query(
+            "SELECT task_index, cache_key FROM tasks ORDER BY task_index"
+        )
+        assert [row["task_index"] for row in rows] == list(range(9))
+        assert [row["cache_key"] for row in rows] == [
+            task.cache_key() for task in cells
+        ]
+
 
 class TestConcurrentWriters:
     def test_wal_allows_parallel_connections(self, tmp_path):

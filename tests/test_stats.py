@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
 import pickle
@@ -13,12 +12,11 @@ import pytest
 from repro.metrics import extract_statistic, register_extractor
 from repro.metrics.records import RunMetrics
 from repro.runners import SweepRunner
-from repro.service import JobQueue, ResultsDB
+from repro.service import ResultsDB
 from repro.stats import (
     CLAIM_REGISTRY,
     BernoulliClaim,
     BoundedMeanClaim,
-    Certificate,
     CertificationRunner,
     Claim,
     TrajectoryPoint,
@@ -388,44 +386,6 @@ class TestDatabaseRecording:
         for run in runs:
             (row,) = db.certificates(run_id=run["run_id"])
             assert row["label"] in ("one", "two")
-
-
-class TestAsyncCertification:
-    FN = "tests.test_stats:_coin_run"
-
-    def test_job_queue_path_matches_blocking_path(self):
-        blocking = CertificationRunner(
-            batch_size=4, max_replicates=48, base_seed=11
-        ).certify(SURE_CLAIM, self.FN, {"bias": 1.0}, label="coin")
-
-        async def scenario():
-            certifier = CertificationRunner(
-                batch_size=4, max_replicates=48, base_seed=11
-            )
-            async with JobQueue() as queue:
-                return await certifier.certify_async(
-                    queue, SURE_CLAIM, self.FN, {"bias": 1.0}, label="coin"
-                )
-
-        assert asyncio.run(scenario()) == blocking
-
-    def test_async_certificates_record_into_the_queue_db(self):
-        db = ResultsDB(":memory:")
-
-        async def scenario():
-            certifier = CertificationRunner(
-                batch_size=4, max_replicates=48, base_seed=11
-            )
-            async with JobQueue(db=db) as queue:
-                return await certifier.certify_async(
-                    queue, SURE_CLAIM, self.FN, {"bias": 1.0}, label="async"
-                )
-
-        certificate = asyncio.run(scenario())
-        (row,) = db.certificates()
-        assert row["verdict"] == certificate.verdict.value
-        assert row["label"] == "async"
-        assert row["run_id"] is None  # batches span several queue jobs
 
 
 class TestCertifiedEnvelope:
