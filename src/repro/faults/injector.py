@@ -108,13 +108,16 @@ class FaultInjector:
                 the application, not of the protocol under study).
         """
         protected = frozenset(protected_tiles)
+        candidates = [tid for tid in tile_ids if tid not in protected]
+        # One uniform per unprotected tile, then one per link, in order:
+        # rng.random(n) consumes exactly the stream of n scalar calls.
+        tile_hits = self.rng.random(len(candidates)) < self.config.p_tile
+        link_hits = self.rng.random(len(links)) < self.config.p_link
         dead_tiles = frozenset(
-            tid
-            for tid in tile_ids
-            if tid not in protected and self.rng.random() < self.config.p_tile
+            candidates[i] for i in np.flatnonzero(tile_hits).tolist()
         )
         dead_links = frozenset(
-            link for link in links if self.rng.random() < self.config.p_link
+            links[i] for i in np.flatnonzero(link_hits).tolist()
         )
         return CrashPlan(dead_tiles=dead_tiles, dead_links=dead_links)
 

@@ -23,11 +23,13 @@ Stream discipline (matching the object engine draw for draw):
   (numpy's ``Generator.random(n)`` consumes exactly the stream of ``n``
   scalar calls);
 * **send** — per (packet, port) decision draws exactly when the policy's
-  effective row probability is in (0, 1), as one block per packet, then
-  one upset uniform per transmission over a live link when
-  ``p_upset > 0``.  Upset corruption draws interleave mid-stream, so the
-  upset path draws from a *pool* and rewinds/advances the PCG64 bit
-  generator to keep the stream position exact around each corruption.
+  effective row probability is in (0, 1), as one block per packet.  With
+  ``p_upset > 0`` every draw comes live from the stream in the object
+  engine's call order: the packet's decision block, then per
+  transmission over a live link one scalar upset uniform, followed at
+  once by the error model's corruption draws when it hits.  Doubles
+  never touch PCG64's buffered uint32 half-word, so stream identity
+  holds by construction.
 
 Deliberate limits (a ``ValueError`` at construction, never a silently
 different answer):
@@ -67,6 +69,7 @@ import numpy as np
 
 from repro.core.packet import BROADCAST, Packet, PacketFactory
 from repro.noc.backends.base import FAST_BACKEND, register_backend
+from repro.noc.clock import ClockDomain
 from repro.noc.engine import NocSimulator
 from repro.noc.tile import IPCore, RelayCore, TileContext, TileState
 from repro.policies.base import BatchDecisionView, ForwardingPolicy
@@ -323,13 +326,12 @@ class FastNocSimulator(NocSimulator):
         super()._init_from_config(
             config, seed=seed, observer=observer, profiler=profiler
         )
-        self._setup_soa()
 
     # --------------------------------------------------------------- set-up
 
-    def _setup_soa(self) -> None:
-        topology = self.topology
-        n = topology.n_tiles
+    def _build_tiles(self) -> None:
+        """Array state in place of the object engine's per-tile objects."""
+        n = self.topology.n_tiles
         if sorted(self._tile_ids) != list(range(n)):
             raise ValueError(
                 "backend='fast' requires contiguous tile ids 0..n-1"
@@ -337,28 +339,28 @@ class FastNocSimulator(NocSimulator):
         # With sigma_synchr == 0 (guaranteed at construction) every clock
         # domain is deterministic and identical, so all tiles can share
         # one instance — round boundaries memoise once instead of n times.
-        clock0 = self.clocks[self._tile_ids[0]]
-        self.clocks = {tid: clock0 for tid in self._tile_ids}
-        degrees = [len(self._neighbors[t]) for t in range(n)]
+        self.clocks = dict.fromkeys(
+            self._tile_ids, ClockDomain(self.nominal_round_s, self.injector)
+        )
+        adjacency = [self._neighbors[t] for t in range(n)]
+        degrees = [len(row) for row in adjacency]
         max_deg = max(degrees, default=0)
         self._max_deg = max_deg
         self._deg = np.asarray(degrees, dtype=np.int64)
         #: padded port->neighbor matrix; valid ports are a prefix per row.
-        self._nbr = np.full((n, max_deg), -1, dtype=np.int64)
-        self._port_of: dict[tuple[int, int], int] = {}
-        for t in range(n):
-            for port, neighbor in enumerate(self._neighbors[t]):
-                self._nbr[t, port] = neighbor
-                self._port_of[(t, neighbor)] = port
+        self._nbr = np.array(
+            [row + (-1,) * (max_deg - len(row)) for row in adjacency],
+            dtype=np.int64,
+        ).reshape(n, max_deg)
         jj = np.arange(max_deg)
         self._static_link_ok = jj[None, :] < self._deg[:, None]
         for link in self.crash_plan.dead_links:
-            port = self._port_of.get(link)
+            port = self._port(link)
             if port is not None:
                 self._static_link_ok[link[0], port] = False
         self._delay = np.ones((n, max_deg), dtype=np.int64)
         for link, delay in self.link_delays.items():
-            port = self._port_of.get(link)
+            port = self._port(link)
             if port is not None:
                 self._delay[link[0], port] = delay
         self._uniform_delay = bool((self._delay == 1).all())
@@ -366,13 +368,11 @@ class FastNocSimulator(NocSimulator):
             (n, max_deg), self.link_model.energy_per_bit_j, dtype=np.float64
         )
         for link, energy_per_bit in self.link_energy_overrides.items():
-            port = self._port_of.get(link)
+            port = self._port(link)
             if port is not None:
                 self._epb[link[0], port] = energy_per_bit
 
         self._alive = np.ones(n, dtype=bool)
-        for tid in self.crash_plan.dead_tiles:
-            self._alive[tid] = False
         self._informed = np.zeros(n, dtype=bool)
 
         # Message-population matrices, one column per registered message;
@@ -421,6 +421,12 @@ class FastNocSimulator(NocSimulator):
         )
 
         self.tiles = {t: _TileView(self, t) for t in range(n)}
+
+    def _port(self, link: tuple[int, int]) -> int | None:
+        """The source-side port of a directed link, None if not a link."""
+        src, dst = link
+        row = self._neighbors.get(src, ())
+        return row.index(dst) if dst in row else None
 
     def _set_ip(self, tile_id: int, ip: IPCore) -> None:
         self._ips[tile_id] = ip
@@ -577,7 +583,7 @@ class FastNocSimulator(NocSimulator):
                 self._crash_tile(tile_id)
         for link in sorted(self._scheduled_link_crashes.pop(round_index, ())):
             self._dynamic_dead_links.add(link)
-            port = self._port_of.get(link)
+            port = self._port(link)
             if port is not None:
                 self._static_link_ok[link[0], port] = False
 
@@ -586,7 +592,7 @@ class FastNocSimulator(NocSimulator):
             return self._static_link_ok
         link_ok = self._static_link_ok.copy()
         for link in self._scenario_dead_links:
-            port = self._port_of.get(link)
+            port = self._port(link)
             if port is not None:
                 link_ok[link[0], port] = False
         return link_ok
@@ -978,7 +984,7 @@ class FastNocSimulator(NocSimulator):
             self._send_rows_matrix(round_index, t_arr, m_arr, p_row, link_ok)
             return
         if self.fault_config.p_upset > 0.0:
-            self._send_rows_pooled(round_index, t_arr, m_arr, p_row, link_ok)
+            self._send_rows_upset(round_index, t_arr, m_arr, p_row, link_ok)
         else:
             self._send_rows_vectorized(
                 round_index, t_arr, m_arr, p_row, link_ok
@@ -1225,61 +1231,31 @@ class FastNocSimulator(NocSimulator):
                 )
             )
 
-    @staticmethod
-    def _rewind(bit_generator, anchor, used: int) -> None:
-        """Reposition the stream `used` doubles past `anchor`.
-
-        ``advance`` documentedly resets PCG64's buffered uint32 half-word
-        (set by the error model's ``integers`` draws), but the object
-        engine's stream carries that buffer across corruptions — restore
-        it, since pooled doubles never consume it.
-        """
-        bit_generator.state = anchor
-        bit_generator.advance(used)
-        if anchor.get("has_uint32"):
-            state = bit_generator.state
-            state["has_uint32"] = anchor["has_uint32"]
-            state["uinteger"] = anchor["uinteger"]
-            bit_generator.state = state
-
-    def _send_rows_pooled(
+    def _send_rows_upset(
         self, round_index, t_arr, m_arr, p_row, link_ok
     ) -> None:
-        """Send with p_upset > 0: draw decision+upset uniforms from a
-        pre-drawn pool, rewinding the bit generator around each genuine
-        corruption draw so the stream position stays exact."""
+        """Send with p_upset > 0, drawing live in the object engine's order.
+
+        Per row with 0 < p < 1, one ``rng.random(n_ports)`` decision block;
+        then one scalar upset uniform per transmission over a live link,
+        followed at once by the error model's draws when it hits.
+        """
         stats = self.stats
         observer = self.observer
+        random = self.rng.random
+        corrupt = self.injector.corrupt
         p_upset = float(self.fault_config.p_upset)
-        tiles = t_arr.tolist()
-        mids = m_arr.tolist()
-        probs = p_row.tolist()
-        budget = 0
-        for tile_id, p in zip(tiles, probs):
-            if p >= 1.0:
-                budget += len(self._neighbors[tile_id])
-            elif p > 0.0:
-                budget += 2 * len(self._neighbors[tile_id])
-        if budget == 0:
-            return
         link_ok_l = link_ok.tolist()
-        bit_generator = self.rng.bit_generator
-        anchor = bit_generator.state
-        pool = self.rng.random(budget).tolist()
-        used = 0
         builders: dict[int, _ChunkBuilder] = {}
         energy = stats.energy_j
         n_live = 0
-        for tile_id, mid, p in zip(tiles, mids, probs):
+        rows = zip(t_arr.tolist(), m_arr.tolist(), p_row.tolist())
+        for tile_id, mid, p in rows:
             if p <= 0.0:
                 continue
             neighbors = self._neighbors[tile_id]
             n_ports = len(neighbors)
-            if p >= 1.0:
-                decisions = None
-            else:
-                decisions = pool[used : used + n_ports]
-                used += n_ports
+            decisions = None if p >= 1.0 else random(n_ports).tolist()
             ttl0 = int(self._ttl[tile_id, mid])
             hop1 = int(self._hop[tile_id, mid]) + 1
             alt_src = (
@@ -1301,27 +1277,15 @@ class FastNocSimulator(NocSimulator):
                             round_index, tile_id, neighbor
                         )
                     continue
-                draw = pool[used]
-                used += 1
-                if draw < p_upset:
-                    # Corruption draws must come from the live stream:
-                    # rewind to the logical position, let the error model
-                    # draw, then re-anchor and re-pool.
-                    self._rewind(bit_generator, anchor, used)
+                if random() < p_upset:
                     stats.upsets_injected += 1
                     copy = self._event_packet(mid, ttl0, hop1, alt_src)
-                    copy = copy.scrambled(
-                        self.injector.corrupt(copy.codeword)
-                    )
+                    copy = copy.scrambled(corrupt(copy.codeword))
                     if observer is not None:
                         observer.on_upset_injected(
                             round_index, tile_id, neighbor, copy
                         )
-                    event_intact = copy.is_intact()
-                    event = (True, event_intact, copy)
-                    anchor = bit_generator.state
-                    pool = self.rng.random(budget).tolist()
-                    used = 0
+                    event = (True, copy.is_intact(), copy)
                 else:
                     event = (False, True, alt_src)
                 delay = int(self._delay[tile_id, port])
@@ -1348,8 +1312,6 @@ class FastNocSimulator(NocSimulator):
         stats.energy_j = energy
         if n_live:
             stats.per_round_transmissions[round_index] += n_live
-        # Leave the generator exactly where the object engine's would be.
-        self._rewind(bit_generator, anchor, used)
         for arrival, builder in builders.items():
             self._pending.setdefault(arrival, []).append(builder.chunk())
 

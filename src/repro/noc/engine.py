@@ -322,31 +322,20 @@ class NocSimulator:
             nominal_round_s = self.link_model.transfer_time_s(size_bits)
         self.nominal_round_s = nominal_round_s
 
-        self.tiles: dict[int, Tile] = {
-            tid: Tile(
-                tid,
-                factory=PacketFactory(
-                    tid, default_ttl=default_ttl, crc=self.crc
-                ),
-                buffer_capacity=config.buffer_capacity,
-                buffer_mode=config.buffer_mode,
-            )
-            for tid in topology.tile_ids
-        }
-        self.clocks: dict[int, ClockDomain] = {
-            tid: ClockDomain(self.nominal_round_s, self.injector)
-            for tid in topology.tile_ids
-        }
         self.stats = NetworkStats()
 
         crash_plan = config.crash_plan
         if crash_plan is None:
+            # Same list as topology.links, from the adjacency resolved above.
+            links = sorted(
+                (src, dst)
+                for src in self._tile_ids
+                for dst in self._neighbors[src]
+            )
             crash_plan = self.injector.draw_crash_plan(
-                topology.tile_ids, topology.links, config.protected_tiles
+                self._tile_ids, links, config.protected_tiles
             )
         self.crash_plan = crash_plan
-        for tid in crash_plan.dead_tiles:
-            self.tiles[tid].crash()
 
         #: round -> tile -> [(packet, was_upset)] waiting to be latched.
         self._arrivals: dict[int, dict[int, list[tuple[Packet, bool]]]] = (
@@ -387,10 +376,32 @@ class NocSimulator:
         self.link_energy_overrides = dict(config.link_energy_overrides)
         self.egress_limits = dict(config.egress_limits)
         self.bus_tiles = config.bus_tiles
+        self._build_tiles()
+        for tid in crash_plan.dead_tiles:
+            self.tiles[tid].crash()
         self.observer = as_observer(observer)
         self.profiler = profiler
         if self.observer is not None:
             self.observer.on_bind(self)
+
+    def _build_tiles(self) -> None:
+        """Per-tile state: a Tile, PacketFactory and ClockDomain each."""
+        config = self._config
+        self.tiles: dict[int, Tile] = {
+            tid: Tile(
+                tid,
+                factory=PacketFactory(
+                    tid, default_ttl=self.default_ttl, crc=self.crc
+                ),
+                buffer_capacity=config.buffer_capacity,
+                buffer_mode=config.buffer_mode,
+            )
+            for tid in self._tile_ids
+        }
+        self.clocks: dict[int, ClockDomain] = {
+            tid: ClockDomain(self.nominal_round_s, self.injector)
+            for tid in self._tile_ids
+        }
 
     # ------------------------------------------------------------- app setup
 

@@ -11,7 +11,11 @@ surface:
 * the :class:`repro.metrics.RunMetrics` produced by a
   :class:`repro.metrics.MetricsCollector` observing the run — coverage,
   drop and energy per-round series and the event tallies behind them;
-* the final informed set.
+* the final informed set;
+* the final state of the run's bit generator, including PCG64's
+  buffered uint32 half-word (``has_uint32`` / ``uinteger``), so a
+  backend that left the stream elsewhere fails even when the run's
+  outputs happen to agree.
 
 This is the contract that lets ``backend="fast"`` substitute for the
 reference engine anywhere (experiments, sweeps, caches): not
@@ -105,7 +109,12 @@ def _run_one(backend: str, cell: dict):
     for round_index, link in cell.get("link_crashes", ()):
         sim.schedule_link_crash(round_index, link)
     result = sim.run(cell.get("max_rounds", MAX_ROUNDS), until=_all_informed)
-    return result, collector.metrics(), frozenset(sim.informed_tiles())
+    return (
+        result,
+        collector.metrics(),
+        frozenset(sim.informed_tiles()),
+        sim.rng.bit_generator.state,
+    )
 
 
 def _assert_identical(cell: dict) -> None:
@@ -117,8 +126,8 @@ def _assert_identical(cell: dict) -> None:
     fast_cell = dict(cell, mounts=tuple(
         (tid, make()) for tid, make in cell.get("mounts", ((0, _Seed),))
     ))
-    result_o, metrics_o, informed_o = _run_one("object", obj_cell)
-    result_f, metrics_f, informed_f = _run_one("fast", fast_cell)
+    result_o, metrics_o, informed_o, rng_o = _run_one("object", obj_cell)
+    result_f, metrics_f, informed_f, rng_f = _run_one("fast", fast_cell)
 
     # Field-by-field comparison first so a mismatch names the field.
     for field in fields(result_o.stats):
@@ -132,6 +141,7 @@ def _assert_identical(cell: dict) -> None:
         ), f"metrics.{field.name} diverged"
     assert metrics_o == metrics_f
     assert informed_o == informed_f
+    assert rng_o == rng_f, "bit-generator state diverged"
 
 
 # One entry per golden cell: (name, cell dict).  Kept deliberately wide —
@@ -226,6 +236,36 @@ GOLDEN_CELLS = {
             dead_tiles=frozenset({6}), dead_links=frozenset({(1, 2), (9, 10)})
         ),
         seed=1,
+    ),
+    # --------------------------------------------- high upset rate (0.3)
+    # About one transmission in three is corrupted, so the error model's
+    # draws interleave with the send phase's decision and upset draws
+    # many times per round.
+    "upset30-vector": dict(
+        topology=Mesh2D(8, 8),
+        protocol=StochasticProtocol(0.5),
+        fault=FaultConfig(p_upset=0.3, error_model="vector"),
+        seed=4,
+    ),
+    "upset30-bit": dict(
+        topology=Mesh2D(8, 8),
+        protocol=StochasticProtocol(0.5),
+        fault=FaultConfig(p_upset=0.3, error_model="bit"),
+        seed=5,
+    ),
+    "upset30-delays-dead-link": dict(
+        topology=Mesh2D(8, 8),
+        protocol=StochasticProtocol(0.6),
+        fault=FaultConfig(p_upset=0.3),
+        crash_plan=CrashPlan(dead_links=frozenset({(0, 1), (9, 17)})),
+        config={"link_delays": {(0, 8): 3, (9, 10): 2, (27, 28): 2}},
+        seed=6,
+    ),
+    "upset30-flood": dict(
+        topology=Mesh2D(5, 5),
+        protocol=StochasticProtocol(1.0),
+        fault=FaultConfig(p_upset=0.3, error_model="bit"),
+        seed=7,
     ),
     # ---------------------------------------------- dynamic fault scenarios
     "scenario-burst-upsets": dict(
